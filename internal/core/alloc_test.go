@@ -87,6 +87,25 @@ func BenchmarkCycleUnlimited(b *testing.B) {
 	}
 }
 
+// BenchmarkNewCore measures core construction on a built program,
+// including the executor's copy of the program's memory image.
+func BenchmarkNewCore(b *testing.B) {
+	for _, name := range []string{"mcf", "swim"} {
+		b.Run(name, func(b *testing.B) {
+			spec, err := workloads.Resolve(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prog := workloads.Build(spec)
+			cfg := DefaultConfig()
+			b.ReportAllocs()
+			for b.Loop() {
+				New(cfg, prog)
+			}
+		})
+	}
+}
+
 // BenchmarkRenameMoveChain isolates the rename stage as far as the
 // pipeline allows: a pure eliminable-move chain renames at full width
 // every cycle while the scheduler and memory system stay idle, so the

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -257,9 +258,10 @@ func (h *HTTP) Stream(ctx context.Context, reqs []sim.Request, sink func(StreamE
 }
 
 // Result fetches a stored result by key from GET /v1/results/{key}.
-// A miss returns an error wrapping ErrNotFound.
+// The key is path-escaped, so a gen: key's '?' and '&' reach the
+// service intact. A miss returns an error wrapping ErrNotFound.
 func (h *HTTP) Result(ctx context.Context, key string) (*sim.Result, error) {
-	hreq, err := h.newRequest(ctx, http.MethodGet, "/v1/results/"+key, nil)
+	hreq, err := h.newRequest(ctx, http.MethodGet, "/v1/results/"+url.PathEscape(key), nil)
 	if err != nil {
 		return nil, err
 	}

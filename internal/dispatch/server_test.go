@@ -126,6 +126,32 @@ func TestServiceResultsMiss(t *testing.T) {
 	}
 }
 
+// TestServiceResultParameterisedKey: a gen: key carries '?' and '&',
+// which must reach GET /v1/results/{key} escaped rather than cut the
+// path at the query separator.
+func TestServiceResultParameterisedKey(t *testing.T) {
+	ts, store := newTestService(t)
+	req := smallReq("gen:spill?depth=16&seed=3", 2000)
+	want, err := sim.Simulate(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := sim.Key(req)
+	if err := store.Put(context.Background(), key, want); err != nil {
+		t.Fatal(err)
+	}
+
+	h := NewHTTP(ts.URL)
+	defer h.Close()
+	got, err := h.Result(context.Background(), key)
+	if err != nil {
+		t.Fatalf("Result(%q): %v", key, err)
+	}
+	if !resultsEqual(t, got, want) {
+		t.Fatal("result served for a parameterised key differs from the stored one")
+	}
+}
+
 // TestServiceStreamNDJSON: POST /v1/stream emits one event per request
 // — results for the good ones, typed error kinds for the bad one —
 // mirroring sim.Stream's event contract.

@@ -22,20 +22,12 @@ type Executor struct {
 // NewExecutor builds an executor positioned at the program entry with the
 // program's initial memory and register state.
 func NewExecutor(p *Program) *Executor {
-	e := &Executor{
+	return &Executor{
 		prog: p,
-		mem:  NewPagedMem(),
+		regs: p.InitRegs,
+		mem:  p.image.Clone(),
 		pc:   p.Entry(),
 	}
-	for a, v := range p.InitMem {
-		if a&7 == 0 {
-			e.mem.Store(a>>3, v)
-		}
-		// Unaligned seed addresses were unreachable under the old raw-key
-		// map too (loads and stores key on the aligned word).
-	}
-	e.regs = p.InitRegs
-	return e
 }
 
 func (e *Executor) reg(r isa.Reg) uint64 {

@@ -1,5 +1,10 @@
 package program
 
+import (
+	"iter"
+	"slices"
+)
+
 // PagedMem is a sparse uint64→uint64 store used where the simulator used
 // to reach for map[uint64]uint64 on a hot path (the functional executor's
 // memory, the ideal DDT): values live in fixed-size pages found through a
@@ -71,4 +76,41 @@ func (m *PagedMem) Store(key, value uint64) {
 	off := key & (1<<pagedMemBits - 1)
 	pg.words[off] = value
 	pg.present[off/64] |= 1 << (off % 64)
+}
+
+// Clone returns an independent copy of m, copied a whole page at a time
+// into one allocation. It reads m without touching the last-page cache,
+// so any number of goroutines may Clone a store that nobody writes.
+func (m *PagedMem) Clone() *PagedMem {
+	c := &PagedMem{pages: make(map[uint64]*memPage, len(m.pages))}
+	slab := make([]memPage, len(m.pages))
+	i := 0
+	for pk, pg := range m.pages {
+		slab[i] = *pg
+		c.pages[pk] = &slab[i]
+		i++
+	}
+	return c
+}
+
+// All yields every stored key and its value in ascending key order. Like
+// Clone it leaves the last-page cache alone.
+func (m *PagedMem) All() iter.Seq2[uint64, uint64] {
+	return func(yield func(uint64, uint64) bool) {
+		keys := make([]uint64, 0, len(m.pages))
+		for pk := range m.pages {
+			keys = append(keys, pk)
+		}
+		slices.Sort(keys)
+		for _, pk := range keys {
+			pg := m.pages[pk]
+			for off := range pg.words {
+				if pg.present[off/64]>>(off%64)&1 != 0 {
+					if !yield(pk<<pagedMemBits|uint64(off), pg.words[off]) {
+						return
+					}
+				}
+			}
+		}
+	}
 }

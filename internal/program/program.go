@@ -13,6 +13,7 @@ package program
 
 import (
 	"fmt"
+	"iter"
 
 	"repro/internal/isa"
 )
@@ -100,8 +101,10 @@ type Program struct {
 	Name  string
 	insts []SInst
 	entry uint64
-	// InitMem seeds functional memory (8-byte granularity).
-	InitMem map[uint64]uint64
+	// image seeds functional memory, keyed by 8-byte word index like the
+	// executor's own memory. It is read-only once Build returns: every
+	// Executor starts from its own Clone.
+	image *PagedMem
 	// InitRegs seeds the architectural registers.
 	InitRegs [2][isa.NumArchRegs]uint64
 }
@@ -134,18 +137,30 @@ func (p *Program) StaticAt(pc uint64) (*SInst, bool) {
 	return &p.insts[i], true
 }
 
+// InitWords yields the initial memory image as (byte address, value)
+// pairs in ascending address order.
+func (p *Program) InitWords() iter.Seq2[uint64, uint64] {
+	return func(yield func(uint64, uint64) bool) {
+		for w, v := range p.image.All() {
+			if !yield(w<<3, v) {
+				return
+			}
+		}
+	}
+}
+
 // NextPC returns the fall-through PC after pc.
 func (p *Program) NextPC(pc uint64) uint64 { return pc + 4 }
 
 // Builder assembles a Program from labelled basic blocks.
 type Builder struct {
-	name    string
-	insts   []SInst
-	labels  map[string]uint64
-	fixups  []fixup
-	initMem map[uint64]uint64
-	pc      uint64
-	err     error
+	name   string
+	insts  []SInst
+	labels map[string]uint64
+	fixups []fixup
+	image  *PagedMem
+	pc     uint64
+	err    error
 }
 
 type fixup struct {
@@ -156,10 +171,10 @@ type fixup struct {
 // NewBuilder starts a program named name at the given base PC.
 func NewBuilder(name string, basePC uint64) *Builder {
 	return &Builder{
-		name:    name,
-		labels:  make(map[string]uint64),
-		initMem: make(map[uint64]uint64),
-		pc:      basePC,
+		name:   name,
+		labels: make(map[string]uint64),
+		image:  NewPagedMem(),
+		pc:     basePC,
 	}
 }
 
@@ -193,14 +208,22 @@ func (b *Builder) EmitBranchTo(in SInst, label string) *Builder {
 	return b
 }
 
-// InitMem seeds one 8-byte memory word.
+// InitMem seeds one 8-byte memory word. addr must be 8-byte aligned;
+// Build reports the first address that is not.
 func (b *Builder) InitMem(addr, value uint64) *Builder {
-	b.initMem[addr] = value
+	if addr&7 != 0 {
+		if b.err == nil {
+			b.err = fmt.Errorf("program %q: unaligned InitMem address %#x", b.name, addr)
+		}
+		return b
+	}
+	b.image.Store(addr>>3, value)
 	return b
 }
 
 // Build resolves labels and returns the program. The entry point is the
-// first instruction.
+// first instruction. The program takes over the Builder's state, so the
+// Builder must not be used afterwards.
 func (b *Builder) Build() (*Program, error) {
 	if b.err != nil {
 		return nil, b.err
@@ -216,10 +239,10 @@ func (b *Builder) Build() (*Program, error) {
 		b.insts[f.inst].Target = pc
 	}
 	p := &Program{
-		Name:    b.name,
-		insts:   b.insts,
-		entry:   b.insts[0].PC,
-		InitMem: b.initMem,
+		Name:  b.name,
+		insts: b.insts,
+		entry: b.insts[0].PC,
+		image: b.image,
 	}
 	return p, nil
 }

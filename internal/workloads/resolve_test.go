@@ -8,7 +8,6 @@ import (
 	"os"
 	"os/exec"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
@@ -151,13 +150,8 @@ func programDigest(p *program.Program) string {
 		fmt.Fprintf(h, "%+v\n", *in)
 		pc = p.NextPC(pc)
 	}
-	addrs := make([]uint64, 0, len(p.InitMem))
-	for a := range p.InitMem {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		fmt.Fprintf(h, "m %d %d\n", a, p.InitMem[a])
+	for a, v := range p.InitWords() {
+		fmt.Fprintf(h, "m %d %d\n", a, v)
 	}
 	fmt.Fprintf(h, "r %v\n", p.InitRegs)
 	return hex.EncodeToString(h.Sum(nil))
