@@ -50,6 +50,20 @@ func reportGMean(b *testing.B, series []experiments.Series) {
 	}
 }
 
+// gmeanPct returns the gmean speedup, in percent, of the series labelled
+// label, failing the benchmark when the figure has no such series: a
+// renamed label must not report a silent -100%.
+func gmeanPct(b *testing.B, series []experiments.Series, label string) float64 {
+	b.Helper()
+	for _, s := range series {
+		if s.Name == label {
+			return (s.GMean - 1) * 100
+		}
+	}
+	b.Fatalf("no series labelled %q", label)
+	return 0
+}
+
 // BenchmarkTable1Config renders the configuration table.
 func BenchmarkTable1Config(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -81,7 +95,7 @@ func BenchmarkFig5aMoveElim(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.Fig5a()
+		_, series = s.Scenario("fig5a")
 	}
 	reportGMean(b, series)
 }
@@ -106,7 +120,7 @@ func BenchmarkFig6aSMB(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.Fig6a()
+		_, series = s.Scenario("fig6a")
 	}
 	reportGMean(b, series)
 }
@@ -124,7 +138,7 @@ func BenchmarkFig6cLazyReclaim(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.Fig6c()
+		_, series = s.Scenario("fig6c")
 	}
 	reportGMean(b, series)
 }
@@ -134,7 +148,7 @@ func BenchmarkFig7Combined(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.Fig7()
+		_, series = s.Scenario("fig7")
 	}
 	reportGMean(b, series)
 }
@@ -144,7 +158,7 @@ func BenchmarkDDTSizing(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.DDTSizing()
+		_, series = s.Scenario("ddt")
 	}
 	reportGMean(b, series)
 }
@@ -154,7 +168,7 @@ func BenchmarkStoreOnlySMB(b *testing.B) {
 	s := session()
 	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, series = s.StoreOnly()
+		_, series = s.Scenario("storeonly")
 	}
 	reportGMean(b, series)
 }
@@ -162,12 +176,12 @@ func BenchmarkStoreOnlySMB(b *testing.B) {
 // BenchmarkCounterWidth regenerates the §6.3 counter-width study.
 func BenchmarkCounterWidth(b *testing.B) {
 	s := session()
-	var gmeans map[int]float64
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, gmeans = s.CounterWidth()
+		_, series = s.Scenario("cwidth")
 	}
-	b.ReportMetric((gmeans[3]-1)*100, "3bit_gmean_%")
-	b.ReportMetric((gmeans[0]-1)*100, "unlimited_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "3-bit"), "3bit_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "unlimited-32b"), "unlimited_gmean_%")
 }
 
 // BenchmarkISRBTraffic regenerates the §6.3 port-pressure statistics.
@@ -333,43 +347,43 @@ func BenchmarkFunctionalExecution(b *testing.B) {
 // BenchmarkExtROB512Lazy regenerates the §6.2 ROB-512 lazy-reclaim check.
 func BenchmarkExtROB512Lazy(b *testing.B) {
 	s := session()
-	var gmeans map[string]float64
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, gmeans = s.ROB512Lazy()
+		_, series = s.Scenario("rob512")
 	}
-	b.ReportMetric((gmeans["rob512-lazy"]-1)*100, "rob512_lazy_gmean_%")
-	b.ReportMetric((gmeans["rob512-eager"]-1)*100, "rob512_eager_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "rob512-lazy"), "rob512_lazy_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "rob512-eager"), "rob512_eager_gmean_%")
 }
 
 // BenchmarkExtSingleBitME regenerates §6.3 footnote 10.
 func BenchmarkExtSingleBitME(b *testing.B) {
 	s := session()
-	var gmeans map[int]float64
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, gmeans = s.SingleBitME()
+		_, series = s.Scenario("singlebit")
 	}
-	b.ReportMetric((gmeans[1]-1)*100, "1bit_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "ME-16x1b"), "1bit_gmean_%")
 }
 
 // BenchmarkExtDistanceHistory sweeps the distance predictor geometry.
 func BenchmarkExtDistanceHistory(b *testing.B) {
 	s := session()
-	var gmeans map[string]float64
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, gmeans = s.DistanceHistorySweep()
+		_, series = s.Scenario("disthist")
 	}
-	b.ReportMetric((gmeans["paper-2..64"]-1)*100, "paper_geom_gmean_%")
-	b.ReportMetric((gmeans["pc-only"]-1)*100, "pconly_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "paper-2..64"), "paper_geom_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "pc-only"), "pconly_gmean_%")
 }
 
 // BenchmarkExtTrackerComparison quantifies §4.2's scheme comparison.
 func BenchmarkExtTrackerComparison(b *testing.B) {
 	s := session()
-	var gmeans map[string]float64
+	var series []experiments.Series
 	for i := 0; i < b.N; i++ {
-		_, gmeans = s.TrackerComparison()
+		_, series = s.Scenario("trackers")
 	}
-	b.ReportMetric((gmeans["ISRB-32x3b"]-1)*100, "isrb_gmean_%")
-	b.ReportMetric((gmeans["MIT-16"]-1)*100, "mit_gmean_%")
-	b.ReportMetric((gmeans["counters"]-1)*100, "counters_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "ISRB-32x3b"), "isrb_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "MIT-16"), "mit_gmean_%")
+	b.ReportMetric(gmeanPct(b, series, "counters"), "counters_gmean_%")
 }

@@ -4,9 +4,12 @@
 // workloads) but the shape — who wins, by roughly what factor, where the
 // crossovers fall — is the reproduction target.
 //
-// The series-shaped figures (fig5a, fig6a, fig6c, fig7, ddt, storeonly,
-// trackers) are committed scenario specs under internal/scenario/specs;
-// -scenario runs any committed or on-disk spec directly.
+// The speedup-series figures (fig5a, fig6a, fig6c, fig7, ddt, storeonly,
+// cwidth, rob512, singlebit, disthist, trackers) are committed scenario
+// specs under internal/scenario/specs, rendered by name; the other
+// tables (table1, storage, fig4, fig5b, fig6b, ports) are Go code in
+// internal/experiments. -scenario runs any committed or on-disk spec
+// directly.
 //
 // Usage:
 //
@@ -24,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,10 +38,52 @@ import (
 	"repro/internal/sim"
 )
 
+// experimentNames lists every -exp name in the order -exp all prints
+// them. A name with an entry in goTables is rendered by Go code; every
+// other name is the committed scenario of the same name.
+var experimentNames = []string{
+	"table1", "storage", "fig4", "fig5a", "fig5b", "fig6a", "fig6b", "fig6c", "fig7",
+	"ddt", "storeonly", "cwidth", "ports", "rob512", "singlebit", "disthist", "trackers",
+}
+
+// goTables renders the experiments that are not speedup series.
+var goTables = map[string]func(*experiments.Session) fmt.Stringer{
+	"table1":  func(*experiments.Session) fmt.Stringer { return experiments.Table1() },
+	"storage": func(*experiments.Session) fmt.Stringer { return experiments.StorageTable() },
+	"fig4":    func(s *experiments.Session) fmt.Stringer { return s.Fig4() },
+	"fig5b": func(s *experiments.Session) fmt.Stringer {
+		t, _ := s.Fig5b()
+		return t
+	},
+	"fig6b": func(s *experiments.Session) fmt.Stringer { return s.Fig6b() },
+	"ports": func(s *experiments.Session) fmt.Stringer { return s.ISRBTraffic() },
+}
+
+// render produces one experiment's table.
+func render(s *experiments.Session, name string) fmt.Stringer {
+	if table, ok := goTables[name]; ok {
+		return table(s)
+	}
+	t, _ := s.Scenario(name)
+	return t
+}
+
+// selectExperiments resolves the -exp flag to the experiments to run,
+// in output order. Only exact names are accepted.
+func selectExperiments(exp string) ([]string, error) {
+	if exp == "all" {
+		return experimentNames, nil
+	}
+	if slices.Contains(experimentNames, exp) {
+		return []string{exp}, nil
+	}
+	return nil, fmt.Errorf("unknown experiment %q (known: %s all)", exp, strings.Join(experimentNames, " "))
+}
+
 func main() {
 	dispatch.MaybeWorker()
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig4|fig5a|fig5b|fig6a|fig6b|fig6c|fig7|ddt|storeonly|cwidth|ports|rob512|singlebit|disthist|trackers|storage|all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experimentNames, "|")+"|all")
 		scen    = flag.String("scenario", "", "run one scenario instead: a builtin name or a .scenario file path")
 		warmup  = flag.Uint64("warmup", experiments.DefaultRunLengths.Warmup, "warmup instructions per run")
 		measure = flag.Uint64("measure", experiments.DefaultRunLengths.Measure, "measured instructions per run")
@@ -47,6 +93,11 @@ func main() {
 
 	if rf.PrintVersion(os.Stdout) {
 		return
+	}
+	names, err := selectExperiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	b, err := rf.Build()
 	if err != nil {
@@ -108,82 +159,12 @@ func main() {
 	// unknown upfront; the progress line shows the running done count.
 	s := experiments.NewSessionContext(ctx, experiments.RunLengths{Warmup: *warmup, Measure: *measure}, runner)
 	s.OnEvent = progress.Observe
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-	// show terminates the live progress line before each table so stdout
-	// and the stderr progress line never interleave mid-draw.
-	show := func(v fmt.Stringer) {
+	for _, name := range names {
+		t := render(s, name)
+		// Terminate the live progress line before each table so stdout
+		// and the stderr progress line never interleave mid-draw.
 		progress.Finish()
-		fmt.Println(v)
-	}
-
-	if want("table1") {
-		show(experiments.Table1())
-	}
-	if want("storage") {
-		show(experiments.StorageTable())
-	}
-	if want("fig4") {
-		show(s.Fig4())
-	}
-	if want("fig5a") {
-		t, _ := s.Fig5a()
-		show(t)
-	}
-	if want("fig5b") {
-		t, _ := s.Fig5b()
-		show(t)
-	}
-	if want("fig6a") {
-		t, _ := s.Fig6a()
-		show(t)
-	}
-	if want("fig6b") {
-		show(s.Fig6b())
-	}
-	if want("fig6c") {
-		t, _ := s.Fig6c()
-		show(t)
-	}
-	if want("fig7") {
-		t, _ := s.Fig7()
-		show(t)
-	}
-	if want("ddt") {
-		t, _ := s.DDTSizing()
-		show(t)
-	}
-	if want("storeonly") {
-		t, _ := s.StoreOnly()
-		show(t)
-	}
-	if want("cwidth") {
-		t, _ := s.CounterWidth()
-		show(t)
-	}
-	if want("ports") {
-		show(s.ISRBTraffic())
-	}
-	if want("rob512") {
-		t, _ := s.ROB512Lazy()
-		show(t)
-	}
-	if want("singlebit") {
-		t, _ := s.SingleBitME()
-		show(t)
-	}
-	if want("disthist") {
-		t, _ := s.DistanceHistorySweep()
-		show(t)
-	}
-	if want("trackers") {
-		t, _ := s.TrackerComparison()
-		show(t)
-	}
-
-	known := "table1 storage fig4 fig5a fig5b fig6a fig6b fig6c fig7 ddt storeonly cwidth ports rob512 singlebit disthist trackers all"
-	if !strings.Contains(known, *exp) {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (known: %s)\n", *exp, known)
-		os.Exit(1)
+		fmt.Println(t)
 	}
 	progress.Finish()
 	reportCounters(runner, start)

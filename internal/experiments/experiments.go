@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§5-§6). Each Fig*/Table* function runs the required
-// simulations through a shared internal/sim Runner (in parallel, with
-// deduplication and caching) and returns the same rows/series the paper
-// reports, as formatted text tables plus machine-readable series for the
-// test suite's shape checks.
+// evaluation (§5-§6). The speedup-over-baseline figures are committed
+// scenario specs (internal/scenario/specs) that Session.Scenario renders;
+// the tables that report something other than a speedup series (Table 1,
+// the storage arithmetic, Figures 4, 5b and 6b, the ISRB traffic
+// statistics) are Go functions here. Everything runs through a shared
+// internal/sim Runner (in parallel, with deduplication and caching) and
+// returns formatted text tables plus machine-readable data for the test
+// suite's shape checks.
 package experiments
 
 import (
@@ -96,13 +99,14 @@ func (s *Session) runAll(cfgFor func(bench string) core.Config) []*Result {
 	return results
 }
 
-// scenarioSeries executes the named committed scenario (internal/
-// scenario/specs) at the session's run lengths through the session's
-// runner, so figure sweeps share the deduplicated baseline and any
-// attached disk store with everything else the session runs. The
-// series-shaped figures are those specs rendered — the spec files are
-// the single source of truth for their grids.
-func (s *Session) scenarioSeries(name string) (*stats.Table, []Series) {
+// Scenario executes the named committed scenario (internal/scenario/
+// specs) at the session's run lengths through the session's runner, so
+// figure sweeps share the deduplicated baseline and any attached disk
+// store with everything else the session runs. Every speedup-series
+// figure is such a spec — the spec files are the single source of truth
+// for their grids, titles and series labels. An unknown name panics
+// like any other harness bug.
+func (s *Session) Scenario(name string) (*stats.Table, []Series) {
 	rep, err := scenario.MustBuiltin(name).
 		MustExpand(scenario.Overrides{Warmup: &s.RL.Warmup, Measure: &s.RL.Measure}).
 		Run(s.ctx, s.r, s.OnEvent)
@@ -119,55 +123,19 @@ func (s *Session) Baseline() []*Result {
 
 // --- configuration builders -------------------------------------------
 
-func withTracker(cfg core.Config, entries int) core.Config {
-	if entries <= 0 {
-		cfg.Tracker = core.TrackerConfig{Kind: core.TrackerUnlimited}
-	} else {
-		cfg.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: entries, CounterBits: 3}
-	}
+// meConfig and smbConfig are the default machine with one optimization
+// over an unlimited tracker (the ideal reference counting of Figures 5b
+// and 6b).
+func meConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.ME.Enabled = true
+	cfg.Tracker = core.TrackerConfig{Kind: core.TrackerUnlimited}
 	return cfg
 }
 
-func meConfig(entries int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.ME.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func smbConfig(entries int) core.Config {
+func smbConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.SMB.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func combinedConfig(entries int) core.Config {
-	cfg := core.DefaultConfig()
-	cfg.ME.Enabled = true
-	cfg.SMB.Enabled = true
-	return withTracker(cfg, entries)
-}
-
-func makeSeries(name string, base, opt []*Result) Series {
-	return sim.MakeSeries(name, base, opt)
-}
-
-func seriesTable(title string, base []*Result, series []Series) *stats.Table {
-	cols := []string{"benchmark"}
-	for _, s := range series {
-		cols = append(cols, s.Name)
-	}
-	t := stats.NewTable(title, cols...)
-	for _, r := range base {
-		row := []string{r.Bench}
-		for _, s := range series {
-			row = append(row, stats.Pct(s.Per[r.Bench]))
-		}
-		t.AddRow(row...)
-	}
-	gm := []string{"gmean"}
-	for _, s := range series {
-		gm = append(gm, stats.Pct(s.GMean))
-	}
-	t.AddRow(gm...)
-	return t
+	cfg.Tracker = core.TrackerConfig{Kind: core.TrackerUnlimited}
+	return cfg
 }

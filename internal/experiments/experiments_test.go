@@ -32,13 +32,56 @@ func quickSession(t *testing.T) *Session {
 	return NewSessionWith(QuickRunLengths, testRunner)
 }
 
+// series returns the series labelled label, failing the test when the
+// figure has no such series: a renamed or dropped label must not read as
+// a zero speedup and let a shape check pass vacuously.
+func series(t testing.TB, all []Series, label string) Series {
+	t.Helper()
+	names := make([]string, len(all))
+	for i, sr := range all {
+		if sr.Name == label {
+			return sr
+		}
+		names[i] = sr.Name
+	}
+	t.Fatalf("no series labelled %q (have %q)", label, names)
+	return Series{}
+}
+
+// TestSeriesUnknownLabelFails pins the lookup the shape checks rely on:
+// a label the figure does not carry fails the test instead of reading
+// as a zero-valued series.
+func TestSeriesUnknownLabelFails(t *testing.T) {
+	all := []Series{{Name: "ME-16", GMean: 1.01}}
+	if got := series(t, all, "ME-16"); got.GMean != 1.01 {
+		t.Fatalf("series(ME-16) = %+v", got)
+	}
+	rec := &fatalRecorder{TB: t}
+	series(rec, all, "ME-32")
+	if !rec.failed {
+		t.Fatal("unknown label did not fail the test")
+	}
+}
+
+// fatalRecorder records a Fatalf instead of stopping the test.
+type fatalRecorder struct {
+	testing.TB
+	failed bool
+}
+
+func (r *fatalRecorder) Fatalf(string, ...any) { r.failed = true }
+
 // TestShortSmoke keeps a fast end-to-end shape check alive in -short
 // mode: one baseline and one combined run on a single benchmark, and the
 // headline direction (sharing does not tank IPC) holds.
 func TestShortSmoke(t *testing.T) {
 	s := NewSessionWith(RunLengths{Warmup: 2_000, Measure: 15_000}, testRunner)
+	combined := core.DefaultConfig()
+	combined.ME.Enabled = true
+	combined.SMB.Enabled = true
+	combined.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: 24, CounterBits: 3}
 	base := s.run("crafty", core.DefaultConfig())
-	opt := s.run("crafty", combinedConfig(24))
+	opt := s.run("crafty", combined)
 	if base.IPC <= 0 || base.S.Committed < 15_000 {
 		t.Fatalf("degenerate baseline run: IPC=%v committed=%d", base.IPC, base.S.Committed)
 	}
@@ -84,18 +127,14 @@ func TestStorageTableMatchesPaperArithmetic(t *testing.T) {
 // small but positive (§6.1: "speedups are generally limited, 1% gmean").
 func TestFig5aShape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.Fig5a()
-	byName := map[string]Series{}
-	for _, sr := range series {
-		byName[sr.Name] = sr
-	}
-	unl := byName["ME-unlimited"]
+	_, all := s.Scenario("fig5a")
+	unl := series(t, all, "ME-unlimited")
 	if unl.GMean < 1.001 || unl.GMean > 1.06 {
 		t.Fatalf("ME unlimited gmean %.4f outside the small-positive band", unl.GMean)
 	}
 	// 16 entries capture most of the unlimited potential (§6.1).
-	if byName["ME-16"].GMean < unl.GMean-0.01 {
-		t.Fatalf("16-entry ISRB gmean %.4f far below unlimited %.4f", byName["ME-16"].GMean, unl.GMean)
+	if me16 := series(t, all, "ME-16").GMean; me16 < unl.GMean-0.01 {
+		t.Fatalf("16-entry ISRB gmean %.4f far below unlimited %.4f", me16, unl.GMean)
 	}
 	// crafty is the top integer gainer.
 	if unl.Per["crafty"] < 1.02 {
@@ -108,13 +147,8 @@ func TestFig5aShape(t *testing.T) {
 func TestFig5bShape(t *testing.T) {
 	s := quickSession(t)
 	_, rates := s.Fig5b()
-	_, series := s.Fig5a()
-	var unl Series
-	for _, sr := range series {
-		if sr.Name == "ME-unlimited" {
-			unl = sr
-		}
-	}
+	_, all := s.Scenario("fig5a")
+	unl := series(t, all, "ME-unlimited")
 	if rates["vortex"] < 0.04 {
 		t.Fatalf("vortex elimination rate %.3f, want the suite's high end", rates["vortex"])
 	}
@@ -135,12 +169,8 @@ func TestFig5bShape(t *testing.T) {
 // NoSQ-style predictor overall; key benchmarks gain substantially.
 func TestFig6aShape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.Fig6a()
-	byName := map[string]Series{}
-	for _, sr := range series {
-		byName[sr.Name] = sr
-	}
-	unl, nosq := byName["SMB-unlimited"], byName["SMB-NoSQ-unl"]
+	_, all := s.Scenario("fig6a")
+	unl, nosq := series(t, all, "SMB-unlimited"), series(t, all, "SMB-NoSQ-unl")
 	if unl.GMean <= 1.005 {
 		t.Fatalf("SMB gmean %.4f: no overall gain", unl.GMean)
 	}
@@ -149,11 +179,12 @@ func TestFig6aShape(t *testing.T) {
 			nosq.GMean, unl.GMean)
 	}
 	// 24 entries capture nearly the full potential (§6.2).
-	if byName["SMB-24"].GMean < unl.GMean-0.02 {
-		t.Fatalf("24-entry gmean %.4f too far below unlimited %.4f", byName["SMB-24"].GMean, unl.GMean)
+	smb24 := series(t, all, "SMB-24").GMean
+	if smb24 < unl.GMean-0.02 {
+		t.Fatalf("24-entry gmean %.4f too far below unlimited %.4f", smb24, unl.GMean)
 	}
 	// 8 entries lose part of it.
-	if byName["SMB-8"].GMean > byName["SMB-24"].GMean+1e-9 {
+	if series(t, all, "SMB-8").GMean > smb24+1e-9 {
 		t.Fatalf("8-entry gmean above 24-entry gmean")
 	}
 	for _, b := range []string{"hmmer", "wupwise", "gamess"} {
@@ -171,7 +202,7 @@ func TestFig6bShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	base := s.Baseline()
-	opt := s.runAll(func(string) core.Config { return smbConfig(0) })
+	opt := s.runAll(func(string) core.Config { return smbConfig() })
 	var baseTraps, optTraps, baseFD, optFD uint64
 	for i := range base {
 		baseTraps += base[i].S.MemTraps
@@ -194,16 +225,12 @@ func TestFig6bShape(t *testing.T) {
 // 24-entry ISRB (committed bypasses steal entries, §3.3/§6.2).
 func TestFig6cShape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.Fig6c()
-	byName := map[string]Series{}
-	for _, sr := range series {
-		byName[sr.Name] = sr
-	}
-	eU, lU := byName["eager-unlimited"].GMean, byName["lazy-unlimited"].GMean
+	_, all := s.Scenario("fig6c")
+	eU, lU := series(t, all, "eager-unlimited").GMean, series(t, all, "lazy-unlimited").GMean
 	if lU < eU-0.02 {
 		t.Fatalf("lazy reclaim (unlimited ISRB) lost %.4f vs eager %.4f; should be ~marginal", lU, eU)
 	}
-	e24, l24 := byName["eager-24"].GMean, byName["lazy-24"].GMean
+	e24, l24 := series(t, all, "eager-24").GMean, series(t, all, "lazy-24").GMean
 	if l24 > e24+0.02 {
 		t.Fatalf("lazy reclaim with a 24-entry ISRB unexpectedly helps a lot: %.4f vs %.4f", l24, e24)
 	}
@@ -213,20 +240,15 @@ func TestFig6cShape(t *testing.T) {
 // trade-off; the paper's gmean band.
 func TestFig7Shape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.Fig7()
-	byName := map[string]Series{}
-	for _, sr := range series {
-		byName[sr.Name] = sr
-	}
-	unl := byName["ME+SMB-unlimited"].GMean
+	_, all := s.Scenario("fig7")
+	unl := series(t, all, "ME+SMB-unlimited").GMean
 	if unl < 1.01 {
 		t.Fatalf("combined gmean %.4f: too small", unl)
 	}
-	if byName["ME+SMB-32"].GMean < unl-0.015 {
-		t.Fatalf("32-entry combined gmean %.4f far below unlimited %.4f",
-			byName["ME+SMB-32"].GMean, unl)
+	if g32 := series(t, all, "ME+SMB-32").GMean; g32 < unl-0.015 {
+		t.Fatalf("32-entry combined gmean %.4f far below unlimited %.4f", g32, unl)
 	}
-	if byName["ME+SMB-16"].GMean > byName["ME+SMB-24"].GMean+0.01 {
+	if series(t, all, "ME+SMB-16").GMean > series(t, all, "ME+SMB-24").GMean+0.01 {
 		t.Fatal("16 entries outperform 24: pressure ordering inverted")
 	}
 }
@@ -235,8 +257,8 @@ func TestFig7Shape(t *testing.T) {
 // the named benchmarks.
 func TestStoreOnlyShape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.StoreOnly()
-	full, so := series[0], series[1]
+	_, all := s.Scenario("storeonly")
+	full, so := series(t, all, "SMB-full"), series(t, all, "SMB-store-only")
 	if so.GMean > full.GMean+1e-9 {
 		t.Fatalf("store-only gmean %.4f above full %.4f", so.GMean, full.GMean)
 	}
@@ -255,20 +277,22 @@ func TestStoreOnlyShape(t *testing.T) {
 // 32-bit result; 1-bit counters lose more.
 func TestCounterWidthShape(t *testing.T) {
 	s := quickSession(t)
-	_, gmeans := s.CounterWidth()
-	if gmeans[3] < gmeans[0]-0.02 {
-		t.Fatalf("3-bit counters gmean %.4f too far below unlimited %.4f", gmeans[3], gmeans[0])
+	_, all := s.Scenario("cwidth")
+	bit1, bit3 := series(t, all, "1-bit").GMean, series(t, all, "3-bit").GMean
+	unl := series(t, all, "unlimited-32b").GMean
+	if bit3 < unl-0.02 {
+		t.Fatalf("3-bit counters gmean %.4f too far below unlimited %.4f", bit3, unl)
 	}
-	if gmeans[1] > gmeans[3]+1e-9 {
-		t.Fatalf("1-bit counters (%.4f) beat 3-bit (%.4f)", gmeans[1], gmeans[3])
+	if bit1 > bit3+1e-9 {
+		t.Fatalf("1-bit counters (%.4f) beat 3-bit (%.4f)", bit1, bit3)
 	}
 }
 
 // TestDDTSizingShape: the 1K-entry DDT stays close to unlimited overall.
 func TestDDTSizingShape(t *testing.T) {
 	s := quickSession(t)
-	_, series := s.DDTSizing()
-	unl, small := series[0], series[2]
+	_, all := s.Scenario("ddt")
+	unl, small := series(t, all, "DDT-unl"), series(t, all, "DDT-1K")
 	if small.GMean < unl.GMean-0.03 {
 		t.Fatalf("1K DDT gmean %.4f too far below unlimited %.4f (§3.1: within ~2.2%%)",
 			small.GMean, unl.GMean)
@@ -298,14 +322,13 @@ func TestBaselineShape(t *testing.T) {
 // stays marginal even with a 512-entry ROB.
 func TestExtensionROB512Lazy(t *testing.T) {
 	s := quickSession(t)
-	_, gmeans := s.ROB512Lazy()
-	if gmeans["rob512-lazy"] < gmeans["rob512-eager"]-0.03 {
-		t.Fatalf("lazy reclaim at ROB 512 lost a lot: %.4f vs %.4f",
-			gmeans["rob512-lazy"], gmeans["rob512-eager"])
+	_, all := s.Scenario("rob512")
+	lazy, eager := series(t, all, "rob512-lazy").GMean, series(t, all, "rob512-eager").GMean
+	if lazy < eager-0.03 {
+		t.Fatalf("lazy reclaim at ROB 512 lost a lot: %.4f vs %.4f", lazy, eager)
 	}
-	if gmeans["rob512-lazy"] > gmeans["rob512-eager"]+0.05 {
-		t.Fatalf("lazy reclaim at ROB 512 helps a lot (%.4f vs %.4f); the paper found it marginal",
-			gmeans["rob512-lazy"], gmeans["rob512-eager"])
+	if lazy > eager+0.05 {
+		t.Fatalf("lazy reclaim at ROB 512 helps a lot (%.4f vs %.4f); the paper found it marginal", lazy, eager)
 	}
 }
 
@@ -313,9 +336,10 @@ func TestExtensionROB512Lazy(t *testing.T) {
 // counters.
 func TestExtensionSingleBitME(t *testing.T) {
 	s := quickSession(t)
-	_, gmeans := s.SingleBitME()
-	if gmeans[1] < gmeans[3]-0.01 {
-		t.Fatalf("single-bit ME gmean %.4f far below 3-bit %.4f", gmeans[1], gmeans[3])
+	_, all := s.Scenario("singlebit")
+	bit1, bit3 := series(t, all, "ME-16x1b").GMean, series(t, all, "ME-16x3b").GMean
+	if bit1 < bit3-0.01 {
+		t.Fatalf("single-bit ME gmean %.4f far below 3-bit %.4f", bit1, bit3)
 	}
 }
 
@@ -323,10 +347,10 @@ func TestExtensionSingleBitME(t *testing.T) {
 // (pc-only must not beat the paper's geometry).
 func TestExtensionDistanceHistory(t *testing.T) {
 	s := quickSession(t)
-	_, gmeans := s.DistanceHistorySweep()
-	if gmeans["pc-only"] > gmeans["paper-2..64"]+0.01 {
-		t.Fatalf("PC-only distance predictor (%.4f) beats the history-indexed one (%.4f)",
-			gmeans["pc-only"], gmeans["paper-2..64"])
+	_, all := s.Scenario("disthist")
+	pcOnly, paper := series(t, all, "pc-only").GMean, series(t, all, "paper-2..64").GMean
+	if pcOnly > paper+0.01 {
+		t.Fatalf("PC-only distance predictor (%.4f) beats the history-indexed one (%.4f)", pcOnly, paper)
 	}
 }
 
@@ -335,16 +359,15 @@ func TestExtensionDistanceHistory(t *testing.T) {
 // and unlimited match the ISRB closely.
 func TestExtensionTrackerComparison(t *testing.T) {
 	s := quickSession(t)
-	_, gmeans := s.TrackerComparison()
-	isrb := gmeans["ISRB-32x3b"]
-	if gmeans["MIT-16"] >= isrb-0.005 {
-		t.Fatalf("MIT gmean %.4f not clearly below ISRB %.4f despite losing SMB", gmeans["MIT-16"], isrb)
+	_, all := s.Scenario("trackers")
+	isrb := series(t, all, "ISRB-32x3b").GMean
+	if mit := series(t, all, "MIT-16").GMean; mit >= isrb-0.005 {
+		t.Fatalf("MIT gmean %.4f not clearly below ISRB %.4f despite losing SMB", mit, isrb)
 	}
-	if gmeans["counters"] > gmeans["unlimited"]+1e-9 {
-		t.Fatalf("sequential-rollback counters (%.4f) beat the checkpointable ideal (%.4f)",
-			gmeans["counters"], gmeans["unlimited"])
+	if ctr, unl := series(t, all, "counters").GMean, series(t, all, "unlimited").GMean; ctr > unl+1e-9 {
+		t.Fatalf("sequential-rollback counters (%.4f) beat the checkpointable ideal (%.4f)", ctr, unl)
 	}
-	if gmeans["RDA-32"] < isrb-0.02 {
-		t.Fatalf("RDA gmean %.4f far below ISRB %.4f; they share mechanics", gmeans["RDA-32"], isrb)
+	if rda := series(t, all, "RDA-32").GMean; rda < isrb-0.02 {
+		t.Fatalf("RDA gmean %.4f far below ISRB %.4f; they share mechanics", rda, isrb)
 	}
 }

@@ -59,15 +59,9 @@ func (s *Session) Fig4() *stats.Table {
 	return t
 }
 
-// Fig5a: speedup of Move Elimination over the baseline for several ISRB
-// sizes (the committed "fig5a" scenario).
-func (s *Session) Fig5a() (*stats.Table, []Series) {
-	return s.scenarioSeries("fig5a")
-}
-
 // Fig5b: percentage of renamed instructions eliminated (unlimited ISRB).
 func (s *Session) Fig5b() (*stats.Table, map[string]float64) {
-	opt := s.runAll(func(string) core.Config { return meConfig(0) })
+	opt := s.runAll(func(string) core.Config { return meConfig() })
 	t := stats.NewTable("Figure 5b: % of committed µops eliminated (unlimited ISRB)",
 		"benchmark", "% eliminated", "candidates", "eliminated")
 	rates := make(map[string]float64)
@@ -79,18 +73,12 @@ func (s *Session) Fig5b() (*stats.Table, map[string]float64) {
 	return t, rates
 }
 
-// Fig6a: SMB speedup vs ISRB size, plus the NoSQ-style predictor curve
-// (the committed "fig6a" scenario).
-func (s *Session) Fig6a() (*stats.Table, []Series) {
-	return s.scenarioSeries("fig6a")
-}
-
 // Fig6b: reduction of memory traps and false dependencies under SMB
 // (unlimited ISRB, TAGE distance predictor), for benchmarks where those
 // events occur reasonably often in the baseline.
 func (s *Session) Fig6b() *stats.Table {
 	base := s.Baseline()
-	opt := s.runAll(func(string) core.Config { return smbConfig(0) })
+	opt := s.runAll(func(string) core.Config { return smbConfig() })
 	scale := 100e6 / float64(s.RL.Measure)
 	// The paper's cutoffs: >=1K traps and >=10K false deps per 100M.
 	minTraps := uint64(1000 / scale)
@@ -113,58 +101,6 @@ func (s *Session) Fig6b() *stats.Table {
 			fmt.Sprintf("%.1f%%", 100*opt[i].S.BypassRate()))
 	}
 	return t
-}
-
-// Fig6c: eager vs lazy reclaim (bypassing from committed instructions),
-// with an unlimited and a 24-entry ISRB (the committed "fig6c"
-// scenario).
-func (s *Session) Fig6c() (*stats.Table, []Series) {
-	return s.scenarioSeries("fig6c")
-}
-
-// Fig7: combined ME+SMB speedup vs ISRB size (the committed "fig7"
-// scenario).
-func (s *Session) Fig7() (*stats.Table, []Series) {
-	return s.scenarioSeries("fig7")
-}
-
-// DDTSizing compares the unlimited DDT with the paper's 1K-entry 5b-tag
-// table (§3.1's "within 2.2% except hmmer" claim; the committed "ddt"
-// scenario).
-func (s *Session) DDTSizing() (*stats.Table, []Series) {
-	return s.scenarioSeries("ddt")
-}
-
-// StoreOnly compares full SMB with store→load-only bypassing (§6.2; the
-// committed "storeonly" scenario).
-func (s *Session) StoreOnly() (*stats.Table, []Series) {
-	return s.scenarioSeries("storeonly")
-}
-
-// CounterWidth sweeps the ISRB counter width for the combined
-// configuration (§6.3: 3 bits within 1.3% worst-case of 32-bit fields).
-func (s *Session) CounterWidth() (*stats.Table, map[int]float64) {
-	base := s.Baseline()
-	widths := []int{1, 2, 3, 8}
-	gmeans := make(map[int]float64)
-	var series []Series
-	for _, w := range widths {
-		opt := s.runAll(func(string) core.Config {
-			cfg := core.DefaultConfig()
-			cfg.ME.Enabled = true
-			cfg.SMB.Enabled = true
-			cfg.Tracker = core.TrackerConfig{Kind: core.TrackerISRB, Entries: 32, CounterBits: w}
-			return cfg
-		})
-		sr := makeSeries(fmt.Sprintf("%d-bit", w), base, opt)
-		series = append(series, sr)
-		gmeans[w] = sr.GMean
-	}
-	unl := s.runAll(func(string) core.Config { return combinedConfig(0) })
-	sr := makeSeries("unlimited-32b", base, unl)
-	series = append(series, sr)
-	gmeans[0] = sr.GMean
-	return seriesTable("Counter width (§6.3): ME+SMB, 32-entry ISRB", base, series), gmeans
 }
 
 // ISRBTraffic reports the §6.3 port-pressure statistics for the combined

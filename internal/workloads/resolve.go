@@ -259,16 +259,12 @@ func canonicalGenName(g *Generator, point map[string]float64) string {
 	return b.String()
 }
 
-// catalogTables is the memoized index over Catalog(): name lookup,
-// name lists and the named groups, computed once. The group-table
-// memoization is what makes the deprecated Group/Names shims (and the
-// new Members surface) zero-alloc per call.
+// catalogTables is the memoized index over Catalog(): name lookup, the
+// name list and the named groups, computed once so Members and Resolve
+// are zero-alloc per call.
 type catalogTables struct {
 	byName     map[string]Spec
 	names      []string
-	intNames   []string
-	fpNames    []string
-	groups     map[string][]string
 	members    map[string][]Spec
 	groupNames []string
 }
@@ -278,33 +274,20 @@ var tables = sync.OnceValue(func() *catalogTables {
 	specs := Catalog()
 	t := &catalogTables{
 		byName:     make(map[string]Spec, len(specs)),
-		groups:     make(map[string][]string, 4),
-		members:    make(map[string][]Spec, 4),
+		members:    map[string][]Spec{"all": specs},
 		groupNames: []string{"all", "int", "fp", "branch-hostile"},
 	}
-	var hostile []string
 	for _, s := range specs {
 		t.byName[s.Name] = s
 		t.names = append(t.names, s.Name)
+		suite := "int"
 		if s.FP {
-			t.fpNames = append(t.fpNames, s.Name)
-		} else {
-			t.intNames = append(t.intNames, s.Name)
+			suite = "fp"
 		}
+		t.members[suite] = append(t.members[suite], s)
 		if s.HardBranchPct >= 0.4 {
-			hostile = append(hostile, s.Name)
+			t.members["branch-hostile"] = append(t.members["branch-hostile"], s)
 		}
-	}
-	t.groups["all"] = t.names
-	t.groups["int"] = t.intNames
-	t.groups["fp"] = t.fpNames
-	t.groups["branch-hostile"] = hostile
-	for name, members := range t.groups {
-		specs := make([]Spec, len(members))
-		for i, n := range members {
-			specs[i] = t.byName[n]
-		}
-		t.members[name] = specs
 	}
 	return t
 })

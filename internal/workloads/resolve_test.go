@@ -225,8 +225,8 @@ func TestCrossProcessDeterminism(t *testing.T) {
 }
 
 // TestMemoizedTablesZeroAlloc pins the memoization of the catalog
-// index: after the first touch, the whole lookup surface — the new API
-// and the deprecated shims alike — allocates nothing per call.
+// index: after the first touch, the whole lookup surface allocates
+// nothing per call.
 func TestMemoizedTablesZeroAlloc(t *testing.T) {
 	tables() // pay the once-cost outside the measured region
 	allocs := testing.AllocsPerRun(100, func() {
@@ -236,38 +236,11 @@ func TestMemoizedTablesZeroAlloc(t *testing.T) {
 		Members("int")
 		Members("fp")
 		Groups()
-		Names()
-		IntNames()
-		FPNames()
-		Group("all")
-		GroupNames()
 		if _, err := Resolve("crafty"); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("memoized lookups allocate %v times per call, want 0", allocs)
-	}
-}
-
-// TestMembersMatchesShims pins that the deprecated name-list shims are
-// views of the same memoized tables Members serves, not parallel copies
-// that could drift.
-func TestMembersMatchesShims(t *testing.T) {
-	for group, names := range map[string][]string{
-		"all": Names(), "int": IntNames(), "fp": FPNames(),
-	} {
-		specs, ok := Members(group)
-		if !ok {
-			t.Fatalf("Members(%q) unknown", group)
-		}
-		if len(specs) != len(names) {
-			t.Fatalf("Members(%q) has %d specs, shim lists %d names", group, len(specs), len(names))
-		}
-		for i, s := range specs {
-			if s.Name != names[i] {
-				t.Fatalf("Members(%q)[%d] = %q, shim name %q", group, i, s.Name, names[i])
-			}
-		}
 	}
 }
