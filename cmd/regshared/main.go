@@ -6,9 +6,6 @@
 // Endpoints:
 //
 //	POST /v1/run              one sim.Request in, one sim.Result out
-//	POST /v1/runs             a batch of requests in, per-item results or
-//	                          typed errors out (one HTTP round trip; 429
-//	                          shedding is per item, in band)
 //	POST /v1/stream           {"requests":[...]} in, an NDJSON stream of
 //	                          completion events out (mirrors sim.Stream),
 //	                          sealed by a {"done":true,"events":N} trailer
@@ -75,7 +72,6 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/cliflags"
@@ -104,7 +100,7 @@ func main() {
 		measure    = flag.Uint64("measure", 0, "-drain: override the scenario's measured µops")
 	)
 	rf := cliflags.RegisterRunnerFlags(flag.CommandLine,
-		cliflags.WithBackendHelp("execution backend: local | pool:N | batched:local | batched:pool:N"))
+		cliflags.WithBackendHelp("execution backend: local | pool:N"))
 	flag.Parse()
 
 	if rf.PrintVersion(os.Stdout) {
@@ -117,7 +113,7 @@ func main() {
 			os.Exit(1)
 		}
 		if store == nil {
-			fmt.Fprintln(os.Stderr, "regshared: -manifest and -sync need a -store (or deprecated -cachedir)")
+			fmt.Fprintln(os.Stderr, "regshared: -manifest and -sync need a -store")
 			os.Exit(1)
 		}
 		if *manifest {
@@ -134,24 +130,17 @@ func main() {
 		return
 	}
 
-	backendSpec := rf.BackendSpec()
-	if strings.Contains(backendSpec, "http://") || strings.Contains(backendSpec, "https://") {
-		// A service proxying to a service invites request loops — most
-		// treacherously to itself, where every /v1/run would re-enter
-		// /v1/run until sockets run out (batched: wrapping does not make
-		// that safe, hence the spec check rather than a type check).
-		// Chain by pointing clients at the upstream service instead; the
-		// same holds for a drain host.
-		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N | batched:...)")
-		os.Exit(1)
-	}
 	b, err := rf.Build()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if _, ok := b.Backend.(*dispatch.HTTP); ok {
-		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N | batched:...)")
+		// A service proxying to a service invites request loops — most
+		// treacherously to itself, where every /v1/run would re-enter
+		// /v1/run until sockets run out. Chain by pointing clients at
+		// the upstream service instead; the same holds for a drain host.
+		fmt.Fprintln(os.Stderr, "regshared: an http backend is not allowed here (known: local | pool:N)")
 		os.Exit(1)
 	}
 	defer b.Close()
@@ -217,7 +206,7 @@ func main() {
 		}
 	}()
 
-	log.Printf("regshared: serving on %s (backend %s, store %s)", *addr, backendSpec, storeDesc(b.Store))
+	log.Printf("regshared: serving on %s (backend %s, store %s)", *addr, rf.BackendSpec(), storeDesc(b.Store))
 	if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -47,7 +47,7 @@ var scope = map[string]bool{
 	"repro/internal/dispatch":    true,
 	"repro/internal/experiments": true,
 	"repro/internal/objstore":    true,
-	"repro/internal/storeflag":   true,
+	"repro/internal/cliflags":    true,
 }
 
 func inScope(path string) bool {

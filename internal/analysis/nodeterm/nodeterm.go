@@ -45,7 +45,7 @@ var resultPackages = map[string]bool{
 	"repro/internal/objstore":        true,
 	"repro/internal/objstore/sigv4":  true,
 	"repro/internal/objstore/s3test": true,
-	"repro/internal/storeflag":       true,
+	"repro/internal/cliflags":        true,
 }
 
 // rngPackage is the one sanctioned home for seeded randomness.

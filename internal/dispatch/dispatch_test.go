@@ -28,6 +28,7 @@ func TestNewParsesBackendSpecs(t *testing.T) {
 		{spec: "pool:", wantErr: true},
 		{spec: "tcp://example", wantErr: true},
 		{spec: "remote", wantErr: true},
+		{spec: "batched:local", wantErr: true},
 	}
 	for _, c := range cases {
 		b, err := New(c.spec)

@@ -143,47 +143,6 @@ func (p *Pool) Execute(ctx context.Context, req sim.Request) (*sim.Result, error
 	}
 }
 
-// ExecuteBatch runs a coalesced batch as one stdin frame on one worker
-// (one lease, one slot — the batch is the scheduling unit). Typed
-// per-item errors come back in-band and cannot affect siblings. If the
-// worker dies mid-frame the pool cannot tell which member killed it, so
-// instead of retrying the whole frame — which would crash two more
-// workers and then fail every member for one poisoned item — it falls
-// back to per-item Execute, where the normal crash-retry machinery
-// isolates the failure to the request that caused it.
-func (p *Pool) ExecuteBatch(ctx context.Context, reqs []sim.Request) ([]BatchItem, error) {
-	select {
-	case p.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, canceledErr("batch", ctxCause(ctx))
-	}
-	w, err := p.lease()
-	if err != nil {
-		<-p.slots
-		return nil, err
-	}
-	items, commErr := w.roundTripBatch(ctx, reqs)
-	if commErr == nil {
-		p.putIdle(w)
-		<-p.slots
-		return items, nil
-	}
-	p.retire(w)
-	<-p.slots
-	if ctx.Err() != nil {
-		return nil, canceledErr("batch", ctxCause(ctx))
-	}
-	p.mu.Lock()
-	p.stats.Crashes++
-	p.mu.Unlock()
-	out := make([]BatchItem, len(reqs))
-	for i := range reqs {
-		res, rerr := p.Execute(ctx, reqs[i])
-		out[i] = BatchItem{Res: res, Err: rerr}
-	}
-	return out, nil
-}
-
 // Close kills every worker and marks the pool closed. Call it only
 // after all Execute calls have returned.
 func (p *Pool) Close() error {
@@ -334,54 +293,6 @@ func (w *worker) roundTrip(ctx context.Context, req sim.Request) (res *sim.Resul
 		default:
 			return o.resp.Result, nil, nil
 		}
-	}
-}
-
-// roundTripBatch sends a whole batch as one frame and decodes the
-// per-item outcomes. Any transport fault — including a crash caused by
-// one member — is a commErr for the frame as a whole; the pool decides
-// how to isolate it.
-func (w *worker) roundTripBatch(ctx context.Context, reqs []sim.Request) (items []BatchItem, commErr error) {
-	w.nextID++
-	if err := w.enc.Encode(workerRequest{ID: w.nextID, Reqs: reqs}); err != nil {
-		return nil, fmt.Errorf("sending batch frame: %w", err)
-	}
-	type outcome struct {
-		resp workerResponse
-		err  error
-	}
-	ch := make(chan outcome, 1)
-	go func() {
-		var resp workerResponse
-		err := w.dec.Decode(&resp)
-		ch <- outcome{resp, err}
-	}()
-	select {
-	case <-ctx.Done():
-		w.kill() // unblocks the decode goroutine
-		return nil, ctx.Err()
-	case o := <-ch:
-		switch {
-		case o.err != nil:
-			return nil, fmt.Errorf("reading batch frame: %w", o.err)
-		case o.resp.ID != w.nextID:
-			return nil, fmt.Errorf("worker answered frame %d, want %d", o.resp.ID, w.nextID)
-		case len(o.resp.Items) != len(reqs):
-			return nil, fmt.Errorf("worker answered %d items for %d requests", len(o.resp.Items), len(reqs))
-		}
-		items = make([]BatchItem, len(reqs))
-		for i := range o.resp.Items {
-			wi := &o.resp.Items[i]
-			switch {
-			case wi.Err != "":
-				items[i] = BatchItem{Err: wireError(wi.Kind, wi.Err)}
-			case wi.Result == nil:
-				items[i] = BatchItem{Err: errors.New("worker batch item carries neither result nor error")}
-			default:
-				items[i] = BatchItem{Res: wi.Result}
-			}
-		}
-		return items, nil
 	}
 }
 

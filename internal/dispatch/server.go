@@ -1,7 +1,6 @@
 package dispatch
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"net"
 	"net/http"
 	"strconv"
-	"sync"
 
 	"repro/internal/objstore"
 	"repro/internal/sim"
@@ -21,12 +19,6 @@ import (
 // and stores the operator configured — over the execution endpoints
 //
 //	POST /v1/run           one sim.Request in, one sim.Result out
-//	POST /v1/runs          {"requests":[...]} in, per-item outcomes out
-//	                       in one response — the bulk form the client
-//	                       Batcher coalesces into; admission, metrics
-//	                       and 429 shedding are accounted per item, so
-//	                       a batched workload sheds like the same
-//	                       workload sent as individual /v1/run calls
 //	POST /v1/stream        {"requests":[...]} in, NDJSON completion
 //	                       events out, mirroring sim.Stream, closed by
 //	                       a {"done":true,"events":N} trailer
@@ -116,7 +108,6 @@ func NewService(runner *sim.Runner, store *sim.Store, opts ...ServiceOption) *Se
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
-	mux.HandleFunc("POST /v1/runs", s.handleRuns)
 	mux.HandleFunc("POST /v1/stream", s.handleStream)
 	mux.HandleFunc("GET /v1/results/{key}", s.handleResult)
 	mux.HandleFunc("GET /v1/manifest", s.handleManifest)
@@ -252,69 +243,6 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.met.settled(t, ev.Source.String())
 	writeJSON(w, ev.Res)
 	s.met.finish(t, http.StatusOK, ev.Res.S.Cycles)
-}
-
-// handleRuns executes a coalesced batch — the bulk form POST /v1/run
-// clients batch into — and answers per-item outcomes in one response.
-// Each item runs through admission and the metrics layer as its own
-// track (endpoint "runs"): a batch of 40 against a service with 8 slots
-// sheds exactly like 40 individual /v1/run calls would, except the
-// 429s travel in-band as items with RetryAfterSec instead of per-call
-// statuses. The response itself is 200 whenever the batch was readable;
-// item failures are data, not transport errors, so one poisoned item
-// can never fail its siblings.
-func (s *Service) handleRuns(w http.ResponseWriter, r *http.Request) {
-	var body bulkRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&body); err != nil {
-		t := s.met.accept(epRuns, clientID(r))
-		writeError(w, http.StatusBadRequest, kindBadConfig, fmt.Sprintf("decoding request body: %v", err))
-		s.met.finish(t, http.StatusBadRequest, 0)
-		return
-	}
-	client := clientID(r)
-	items := make([]bulkItem, len(body.Requests))
-	var wg sync.WaitGroup
-	for i := range body.Requests {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			items[i] = s.runOne(r.Context(), client, body.Requests[i])
-		}()
-	}
-	wg.Wait()
-	s.met.bulk(len(items))
-	writeJSON(w, bulkResponse{Items: items})
-}
-
-// runOne runs one bulk item through the same admission/metrics/runner
-// path an individual /v1/run takes, returning its wire outcome.
-func (s *Service) runOne(ctx context.Context, client string, req sim.Request) bulkItem {
-	t := s.met.accept(epRuns, client)
-	t.rm.Bench = req.Bench
-	s.met.queued(t)
-	if err := s.adm.acquire(ctx, client); err != nil {
-		status := http.StatusServiceUnavailable
-		it := bulkItem{Error: err.Error(), Kind: errorKind(err)}
-		if errors.Is(err, ErrOverloaded) {
-			status = http.StatusTooManyRequests
-			it.RetryAfterSec = s.adm.retryAfter()
-		}
-		s.met.finish(t, status, 0)
-		return it
-	}
-	defer s.adm.release()
-	s.met.dispatched(t)
-	var ev sim.Event
-	_, err := s.runner.Stream(ctx, []sim.Request{req}, func(e sim.Event) { ev = e })
-	if err != nil {
-		s.met.settled(t, "")
-		s.met.finish(t, statusFor(err), 0)
-		return bulkItem{Error: err.Error(), Kind: errorKind(err)}
-	}
-	t.rm.Key = ev.Key
-	s.met.settled(t, ev.Source.String())
-	s.met.finish(t, http.StatusOK, ev.Res.S.Cycles)
-	return bulkItem{Result: ev.Res}
 }
 
 // handleStream executes a batch, streaming one NDJSON event per request

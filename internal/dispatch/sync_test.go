@@ -3,12 +3,12 @@ package dispatch
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -22,6 +22,22 @@ func warmStore(t *testing.T, s *sim.Store, keys ...string) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// countingMux wraps a service handler and counts requests per
+// "METHOD /path" — the sync tests' transfer-count assertions hang off it.
+type countingMux struct {
+	inner http.Handler
+
+	mu     sync.Mutex
+	counts map[string]int
+}
+
+func (c *countingMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	c.mu.Lock()
+	c.counts[r.Method+" "+r.URL.Path]++
+	c.mu.Unlock()
+	c.inner.ServeHTTP(w, r)
 }
 
 // syncService exposes a store over the federation endpoints.
@@ -222,79 +238,5 @@ func TestSyncMetricsCounters(t *testing.T) {
 	if snap.SyncStored != 1 || snap.SyncServed != 2 || snap.SyncRejected != 0 {
 		t.Fatalf("sync counters stored=%d served=%d rejected=%d, want 1, 2, 0",
 			snap.SyncStored, snap.SyncServed, snap.SyncRejected)
-	}
-}
-
-// TestBulkEndpointPerItemShedding: when the admission gate is full, a
-// bulk batch's items are shed individually — in-band 429 items carrying
-// the Retry-After hint — while the batch call itself stays a 200 and
-// other work is unaffected.
-func TestBulkEndpointPerItemShedding(t *testing.T) {
-	ts, _, entered, release := blockedService(t, 1, 0)
-	h := NewHTTP(ts.URL)
-	defer h.Close()
-	h.SetClientID("bulk-client")
-
-	// Occupy the only slot.
-	holder := NewHTTP(ts.URL)
-	defer holder.Close()
-	holder.SetClientID("holder")
-	done := make(chan error, 1)
-	go func() {
-		_, err := holder.Execute(context.Background(), smallReq("crafty", 3000))
-		done <- err
-	}()
-	<-entered
-
-	items, err := h.ExecuteBatch(context.Background(),
-		[]sim.Request{smallReq("crafty", 3100), smallReq("crafty", 3200)})
-	if err != nil {
-		t.Fatalf("bulk call failed as a whole: %v", err)
-	}
-	for i, it := range items {
-		if !errors.Is(it.Err, ErrOverloaded) {
-			t.Errorf("item %d: got %v, want an in-band ErrOverloaded", i, it.Err)
-			continue
-		}
-		if _, ok := RetryAfter(it.Err); !ok {
-			t.Errorf("item %d: in-band 429 lost its Retry-After hint", i)
-		}
-	}
-
-	close(release)
-	if err := <-done; err != nil {
-		t.Fatalf("slot holder failed: %v", err)
-	}
-}
-
-// TestBulkEndpointPoisonedItem: one invalid request in a bulk batch
-// comes back as that item's typed error over the wire; siblings carry
-// results.
-func TestBulkEndpointPoisonedItem(t *testing.T) {
-	ts := httptest.NewServer(NewService(sim.New(), nil).Handler())
-	defer ts.Close()
-	h := NewHTTP(ts.URL)
-	defer h.Close()
-
-	items, err := h.ExecuteBatch(context.Background(), []sim.Request{
-		smallReq("crafty", 80),
-		smallReq("no-such-bench", 80),
-		smallReq("crafty", 90),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if items[0].Err != nil || items[0].Res == nil {
-		t.Errorf("item 0: res=%v err=%v, want a result", items[0].Res, items[0].Err)
-	}
-	if !errors.Is(items[1].Err, sim.ErrUnknownBenchmark) {
-		t.Errorf("item 1: got %v, want a sim.ErrUnknownBenchmark wrap", items[1].Err)
-	}
-	if items[2].Err != nil || items[2].Res == nil {
-		t.Errorf("item 2: res=%v err=%v, want a result", items[2].Res, items[2].Err)
-	}
-	if fmt.Sprint(items[0].Res.IPC) != fmt.Sprint(items[2].Res.IPC) {
-		// Same bench, different measure: just confirm both are real runs.
-		_ = items[2]
 	}
 }

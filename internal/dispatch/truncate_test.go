@@ -123,17 +123,29 @@ func TestStreamTruncationDetectedAndResumable(t *testing.T) {
 // TestStreamCompleteCarriesTrailer is the happy-path counterpart: an
 // uninterrupted client Stream sees every event and no truncation error,
 // which can only happen when the trailer arrived and its count matched.
+// A poisoned item travels as data: its event carries the typed
+// ErrUnknownBenchmark while its siblings carry results, and it still
+// counts toward the trailer.
 func TestStreamCompleteCarriesTrailer(t *testing.T) {
 	ts, _ := newTestService(t)
 	h := NewHTTP(ts.URL)
 	defer h.Close()
-	reqs := []sim.Request{smallReq("crafty", 3000), smallReq("gzip", 3000)}
-	n, err := h.Stream(context.Background(), reqs, nil)
+	reqs := []sim.Request{smallReq("crafty", 3000), smallReq("no-such-bench", 3000), smallReq("gzip", 3000)}
+	events := map[int]StreamEvent{}
+	n, err := h.Stream(context.Background(), reqs, func(ev StreamEvent) { events[ev.Index] = ev })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(reqs) {
-		t.Fatalf("delivered %d events, want %d", n, len(reqs))
+	if n != len(reqs) || len(events) != len(reqs) {
+		t.Fatalf("delivered %d events (sink saw %d), want %d", n, len(events), len(reqs))
+	}
+	for _, i := range []int{0, 2} {
+		if ev := events[i]; ev.Err != nil || ev.Result == nil {
+			t.Errorf("event %d: err %v, result %v, want a result", i, ev.Err, ev.Result)
+		}
+	}
+	if ev := events[1]; ev.Result != nil || !errors.Is(ev.Err, sim.ErrUnknownBenchmark) {
+		t.Errorf("event 1: err %v, want a sim.ErrUnknownBenchmark wrap and no result", ev.Err)
 	}
 }
 
