@@ -123,10 +123,25 @@ func TestStreamTruncationDetectedAndResumable(t *testing.T) {
 // TestStreamCompleteCarriesTrailer is the happy-path counterpart: an
 // uninterrupted client Stream sees every event and no truncation error,
 // which can only happen when the trailer arrived and its count matched.
-// A poisoned item travels as data: its event carries the typed
-// ErrUnknownBenchmark while its siblings carry results, and it still
-// counts toward the trailer.
 func TestStreamCompleteCarriesTrailer(t *testing.T) {
+	ts, _ := newTestService(t)
+	h := NewHTTP(ts.URL)
+	defer h.Close()
+	reqs := []sim.Request{smallReq("crafty", 3000), smallReq("gzip", 3000)}
+	n, err := h.Stream(context.Background(), reqs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(reqs) {
+		t.Fatalf("delivered %d events, want %d", n, len(reqs))
+	}
+}
+
+// TestStreamPoisonedItemIsolated: a poisoned item in a multi-request
+// stream travels as data. Its event carries the typed ErrUnknownBenchmark
+// while its siblings carry results, and it still counts toward the
+// trailer, so the stream as a whole completes cleanly.
+func TestStreamPoisonedItemIsolated(t *testing.T) {
 	ts, _ := newTestService(t)
 	h := NewHTTP(ts.URL)
 	defer h.Close()
